@@ -117,7 +117,6 @@ class PipelineConfig:
     reorder_buffer_size: int = 128
     lsq_size: int = 128
     frequency_hz: float = 1e9
-    branch_misprediction_penalty: int = 7
     base_ipc: float = 2.0
 
     def __post_init__(self) -> None:

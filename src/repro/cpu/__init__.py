@@ -1,23 +1,8 @@
-"""CPU substrate: branch prediction and out-of-order timing accounting."""
+"""CPU substrate: out-of-order timing accounting."""
 
-from repro.cpu.branch import (
-    BimodalPredictor,
-    GsharePredictor,
-    HybridPredictor,
-    PredictorStatistics,
-    SaturatingCounter,
-)
-from repro.cpu.core import CoreResult, ProcessorCore
 from repro.cpu.pipeline import TimingBreakdown, TimingModel
 
 __all__ = [
-    "BimodalPredictor",
-    "GsharePredictor",
-    "HybridPredictor",
-    "PredictorStatistics",
-    "SaturatingCounter",
-    "CoreResult",
-    "ProcessorCore",
     "TimingBreakdown",
     "TimingModel",
 ]

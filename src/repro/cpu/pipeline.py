@@ -16,9 +16,7 @@ branch mispredictions).  On top of that it charges, per instruction-fetch
 miss, the miss latency reduced by an **overlap factor**: an out-of-order
 core can hide part of a front-end stall by draining instructions already
 in the reorder buffer, and the deeper the ROB relative to the miss
-latency, the more of it is hidden.  Branch mispredictions charge the
-pipeline-refill penalty when the caller chooses to model branches
-explicitly through the :class:`~repro.cpu.branch.HybridPredictor`.
+latency, the more of it is hidden.
 """
 
 from __future__ import annotations
@@ -34,12 +32,11 @@ class TimingBreakdown:
 
     base_cycles: float = 0.0
     fetch_stall_cycles: float = 0.0
-    branch_penalty_cycles: float = 0.0
 
     @property
     def total_cycles(self) -> int:
         """Total execution time in whole cycles."""
-        return int(round(self.base_cycles + self.fetch_stall_cycles + self.branch_penalty_cycles))
+        return int(round(self.base_cycles + self.fetch_stall_cycles))
 
 
 @dataclass
@@ -51,8 +48,8 @@ class TimingModel:
     pipeline:
         The Table 1 core parameters.
     base_cpi:
-        Cycles per instruction of everything except i-cache misses and the
-        explicitly modelled branch penalties; workload models provide a
+        Cycles per instruction of everything except i-cache misses
+        (branch mispredictions included); workload models provide a
         per-benchmark value.
     """
 
@@ -92,25 +89,16 @@ class TimingModel:
             raise ValueError("instruction count cannot be negative")
         self._breakdown.base_cycles += count * self.base_cpi
 
-    def account_fetch_miss(self, miss_latency: int) -> None:
-        """Charge one instruction-fetch miss of ``miss_latency`` cycles."""
+    def account_fetch_misses(self, miss_latency: int, count: int) -> None:
+        """Charge ``count`` instruction-fetch misses of ``miss_latency`` cycles each."""
         if miss_latency < 0:
             raise ValueError("latency cannot be negative")
-        exposed = miss_latency * (1.0 - self.fetch_stall_overlap(miss_latency))
-        self._breakdown.fetch_stall_cycles += exposed
-
-    def account_fetch_misses(self, miss_latency: int, count: int) -> None:
-        """Charge ``count`` identical fetch misses in one call (sweep fast path)."""
         if count < 0:
             raise ValueError("count cannot be negative")
         if count == 0:
             return
         exposed = miss_latency * (1.0 - self.fetch_stall_overlap(miss_latency))
         self._breakdown.fetch_stall_cycles += exposed * count
-
-    def account_branch_misprediction(self) -> None:
-        """Charge one branch misprediction (pipeline refill)."""
-        self._breakdown.branch_penalty_cycles += self.pipeline.branch_misprediction_penalty
 
     # ------------------------------------------------------------------
     # Results

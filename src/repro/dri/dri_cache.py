@@ -208,10 +208,10 @@ class DRIICache(Cache):
         :meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`
         would for the chunk's miss stream.
 
-        The caller (the fused engine) is responsible for eligibility:
-        manual interval driving, LRU state on both levels, an L2 block at
-        least as large as the L1's, and a policy whose ``compiled_step``
-        matches the in-kernel rule.
+        The caller is responsible for eligibility, which
+        :func:`~repro.simulation.engine.engine_for_run` decides: an L2
+        block at least as large as the L1's and a policy whose
+        ``compiled_step`` matches the in-kernel rule.
         """
         if self.auto_interval:
             raise ValueError("the fused path requires auto_interval=False")

@@ -3,7 +3,6 @@
 from repro.memory.cache import AccessResult, Cache, CacheStatistics
 from repro.memory.hierarchy import (
     HierarchyResponse,
-    InstructionMemoryPath,
     MainMemory,
     MemoryHierarchy,
     ServiceLevel,
@@ -22,7 +21,6 @@ __all__ = [
     "Cache",
     "CacheStatistics",
     "HierarchyResponse",
-    "InstructionMemoryPath",
     "MainMemory",
     "MemoryHierarchy",
     "ServiceLevel",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -123,35 +123,3 @@ class MemoryHierarchy:
         self.l2_accesses = 0
         self.l2_misses = 0
         self.memory.accesses = 0
-
-
-class InstructionMemoryPath:
-    """A convenience wrapper: an L1 i-cache in front of a shared hierarchy.
-
-    ``fetch`` returns the total fetch latency for one instruction address,
-    counting the L1 latency plus any miss servicing below it, and records
-    the L1/L2 statistics the energy model needs.
-    """
-
-    def __init__(
-        self,
-        l1_icache: Cache,
-        hierarchy: MemoryHierarchy,
-        l1_latency: Optional[int] = None,
-    ) -> None:
-        self.l1 = l1_icache
-        self.hierarchy = hierarchy
-        self.l1_latency = l1_latency if l1_latency is not None else l1_icache.geometry.latency
-
-    def fetch(self, address: int) -> int:
-        """Fetch the instruction at ``address``; returns the latency in cycles."""
-        result = self.l1.access(address)
-        latency = self.l1_latency
-        if not result.hit:
-            latency += self.hierarchy.access_from_l1_miss(address).latency
-        return latency
-
-    @property
-    def miss_rate(self) -> float:
-        """L1 i-cache miss rate observed so far."""
-        return self.l1.stats.miss_rate

@@ -2,7 +2,7 @@
 
 Conventional, fixed-size, and DRI runs all replay an instruction-fetch
 stream through an L1 i-cache in front of the Table 1 L2/memory hierarchy.
-This module provides that replay loop in two interchangeable forms:
+This module provides that replay loop in four interchangeable forms:
 
 * :func:`replay_scalar` — the original per-address Python loop (one dict
   probe per access), kept as the semantic reference;
@@ -26,9 +26,7 @@ This module provides that replay loop in two interchangeable forms:
   gating, and the L2 drain — runs inside one compiled call per
   :data:`DEFAULT_CHUNK_ACCESSES`-sized chunk
   (:func:`~repro.memory.kernels.dri_fused.fused_dri_chunk`), with zero
-  Python per interval.  Runs the fused loop cannot take (non-compilable
-  policies, auto-interval caches, conventional replays) transparently
-  fall back to the chunked kernel engine, chunk boundaries and all.
+  Python per interval.
 
 Engine selection: ``"auto"`` resolves to ``"kernel-fused"`` when Numba is
 importable and silently to ``"batched"`` otherwise; asking for
@@ -38,18 +36,23 @@ install extra (the pure-Python kernel fallback is bit-identical but far
 slower than batched, so it is never selected as an *engine* implicitly —
 ``Cache.access_batch(..., kernel=True)`` reaches it directly for the
 equivalence tests).  :func:`engine_for_run` concretises a resolved
-engine for one specific run (the fused engine's per-run fallback), so
-results and sweep memo keys record the engine that actually executed.
+engine for one specific run and is the only place the fused engine's
+eligibility rule is written: runs the fused loop cannot take
+(conventional replays, non-compilable policies, an L2 block smaller than
+the L1's) are dispatched by :func:`replay` to the chunked kernel engine,
+and :class:`~repro.simulation.results.SimulationResult` records the
+engine that actually executed.
 
-Both engines consume any
+Every engine consumes any
 :class:`~repro.workloads.source.TraceSource` — an in-memory
 :class:`~repro.workloads.trace.InstructionTrace` is coerced to one — and
 never ask for more than one chunk at a time, so a streamed or mmapped
-source replays a 100M-access trace at flat memory.  Both produce
+source replays a 100M-access trace at flat memory.  All produce
 bit-identical hit/miss/eviction counts, DRI statistics, resize
-trajectories, and cycle totals; the batched form is an order of magnitude
-faster because the hot per-access work — at every associativity, L1 and
-L2 alike — never enters the Python interpreter.
+trajectories, and cycle totals (one accounting, :func:`_cycles`, turns
+each replay's counts into cycles); the batched form is an order of
+magnitude faster than scalar because the hot per-access work — at every
+associativity, L1 and L2 alike — never enters the Python interpreter.
 
 Chunking policy
 ---------------
@@ -72,7 +75,6 @@ from repro.dri.policies import build_policy
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.kernels import runtime as kernel_runtime
-from repro.memory.replacement import LRUState
 from repro.workloads.source import TraceSource, as_trace_source
 from repro.workloads.trace import InstructionTrace
 
@@ -118,10 +120,10 @@ def engine_for_run(
     no DRI parameters (conventional/fixed-size replay), a resize policy
     without a compiled form, or an L2 block smaller than the L1's (the
     in-kernel drain needs a non-negative block-address shift) — executes
-    on the chunked kernel engine instead.  Sweep memoisation and
-    :class:`~repro.simulation.results.SimulationResult` record *this*
-    name, never the ambiguous selector, so memo keys can never alias two
-    different execution paths.
+    on the chunked kernel engine instead.
+    :class:`~repro.simulation.results.SimulationResult` records *this*
+    name, never the ambiguous selector.  :func:`replay` dispatches on it,
+    so this is the only statement of the fused engine's eligibility.
     """
     if resolved != "kernel-fused":
         return resolved
@@ -133,6 +135,27 @@ def engine_for_run(
     if system.l2_cache.offset_bits < system.l1_icache.offset_bits:
         return "kernel"
     return "kernel-fused"
+
+
+def _cycles(
+    system: SystemConfig,
+    base_cpi: float,
+    instructions: int,
+    miss_l2: int,
+    miss_memory: int,
+) -> int:
+    """Execution time of a replay from its fetch-miss counts.
+
+    ``miss_l2`` L1 misses were serviced by the L2 and ``miss_memory`` by
+    main memory; each is charged its exposed latency on top of the base
+    CPI (:class:`~repro.cpu.pipeline.TimingModel`).
+    """
+    timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
+    l2_latency = system.l1_miss_penalty
+    timing.account_instructions(instructions)
+    timing.account_fetch_misses(l2_latency, miss_l2)
+    timing.account_fetch_misses(l2_latency + system.l2_miss_penalty, miss_memory)
+    return timing.cycles
 
 
 def replay_scalar(
@@ -150,9 +173,7 @@ def replay_scalar(
     reference semantics.
     """
     source = as_trace_source(trace)
-    timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
     l2_latency = system.l1_miss_penalty
-    memory_latency = l2_latency + system.l2_miss_penalty
     instructions_per_line = source.instructions_per_line
 
     # Interval driving is enabled only when the caller asks for it (dri
@@ -185,10 +206,7 @@ def replay_scalar(
                     )
                     since_interval = 0
 
-    timing.account_instructions(accesses * instructions_per_line)
-    timing.account_fetch_misses(l2_latency, miss_l2)
-    timing.account_fetch_misses(memory_latency, miss_memory)
-    return timing.cycles
+    return _cycles(system, base_cpi, accesses * instructions_per_line, miss_l2, miss_memory)
 
 
 def replay_batched(
@@ -217,9 +235,6 @@ def replay_batched(
     instead of the numpy classifiers (this is :func:`replay_kernel`).
     """
     source = as_trace_source(trace)
-    timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
-    l2_latency = system.l1_miss_penalty
-    memory_latency = l2_latency + system.l2_miss_penalty
     instructions_per_line = source.instructions_per_line
 
     dri_cache = icache if dri is not None and isinstance(icache, DRIICache) else None
@@ -259,10 +274,7 @@ def replay_batched(
                 dri_cache.end_interval(instructions=interval_fill * instructions_per_line)
                 interval_fill = 0
 
-    timing.account_instructions(accesses * instructions_per_line)
-    timing.account_fetch_misses(l2_latency, miss_l2)
-    timing.account_fetch_misses(memory_latency, miss_memory)
-    return timing.cycles
+    return _cycles(system, base_cpi, accesses * instructions_per_line, miss_l2, miss_memory)
 
 
 def replay_kernel(
@@ -295,35 +307,17 @@ def replay_fused(
 ) -> int:
     """Replay ``trace`` through the fused DRI engine.
 
-    Eligible runs — a manually-driven :class:`DRIICache` with LRU state
-    on both levels, an L2 block at least as large as the L1's, and a
-    policy whose :meth:`compiled_step` the kernel implements — stream
-    :data:`DEFAULT_CHUNK_ACCESSES`-sized chunks straight into
+    :data:`DEFAULT_CHUNK_ACCESSES`-sized chunks stream straight into
     :meth:`DRIICache.fused_chunk`; interval boundaries fall wherever
     they fall inside a chunk and are handled entirely in compiled code,
     so the chunking no longer needs to align with sense intervals at
-    all.  Every other run falls back to :func:`replay_kernel`
-    (bit-identical, interval-aligned chunks, Python ``end_interval`` at
-    each boundary).  :func:`engine_for_run` predicts this fallback from
-    the run parameters alone so callers can key caches correctly.
+    all.  The caller is responsible for eligibility — :func:`replay`
+    sends only runs :func:`engine_for_run` names ``"kernel-fused"``
+    here; everything else goes to :func:`replay_kernel`.
     """
-    dri_cache = icache if dri is not None and isinstance(icache, DRIICache) else None
-    if (
-        dri_cache is None
-        or dri_cache.auto_interval
-        or not isinstance(dri_cache._policy, LRUState)
-        or not isinstance(hierarchy.l2._policy, LRUState)
-        or hierarchy.l2.geometry.offset_bits < dri_cache.geometry.offset_bits
-    ):
-        return replay_kernel(trace, icache, hierarchy, base_cpi, system, dri)
-    step = dri_cache.controller.policy.compiled_step()
-    if step is None or step.kind != "miss-bound":
-        return replay_kernel(trace, icache, hierarchy, base_cpi, system, dri)
-
+    if not isinstance(icache, DRIICache):
+        raise ValueError("the fused engine replays only a DRIICache")
     source = as_trace_source(trace)
-    timing = TimingModel(pipeline=system.pipeline, base_cpi=base_cpi)
-    l2_latency = system.l1_miss_penalty
-    memory_latency = l2_latency + system.l2_miss_penalty
     instructions_per_line = source.instructions_per_line
 
     miss_l2 = 0
@@ -331,16 +325,11 @@ def replay_fused(
     accesses = 0
     for chunk in source.chunks(DEFAULT_CHUNK_ACCESSES):
         accesses += chunk.shape[0]
-        l2_hits, l2_misses = dri_cache.fused_chunk(
-            chunk, hierarchy, instructions_per_line
-        )
+        l2_hits, l2_misses = icache.fused_chunk(chunk, hierarchy, instructions_per_line)
         miss_l2 += l2_hits
         miss_memory += l2_misses
 
-    timing.account_instructions(accesses * instructions_per_line)
-    timing.account_fetch_misses(l2_latency, miss_l2)
-    timing.account_fetch_misses(memory_latency, miss_memory)
-    return timing.cycles
+    return _cycles(system, base_cpi, accesses * instructions_per_line, miss_l2, miss_memory)
 
 
 def replay(
@@ -353,7 +342,7 @@ def replay(
     engine: str = "auto",
 ) -> int:
     """Replay a trace with the selected engine; returns the cycle count."""
-    resolved = resolve_engine(engine)
+    resolved = engine_for_run(resolve_engine(engine), system, dri)
     if resolved == "kernel-fused":
         return replay_fused(trace, icache, hierarchy, base_cpi, system, dri)
     if resolved == "kernel":

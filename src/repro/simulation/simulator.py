@@ -100,7 +100,7 @@ class Simulator:
         Identical to :attr:`engine` except under ``"kernel-fused"``,
         where ineligible runs (no DRI parameters, non-compilable policy,
         L2 block smaller than the L1's) fall back to ``"kernel"`` — the
-        name results and sweep memo keys must record.
+        name results must record.
         """
         return engine_for_run(self.engine, self.system, parameters)
 
@@ -145,20 +145,7 @@ class Simulator:
     def run_conventional(self, workload: WorkloadLike) -> SimulationResult:
         """Simulate the conventional (fixed-size) i-cache baseline."""
         trace, base_cpi = self.resolve_workload(workload)
-        icache = Cache(self.system.l1_icache, name="L1I")
-        hierarchy = MemoryHierarchy(self.system)
-        cycles = self._run_trace(trace, icache, hierarchy, base_cpi, dri=None)
-        return SimulationResult(
-            benchmark=trace.name,
-            cache_kind="conventional",
-            instructions=trace.num_instructions,
-            cycles=cycles,
-            l1_accesses=icache.stats.accesses,
-            l1_misses=icache.stats.misses,
-            l2_accesses=hierarchy.l2_accesses,
-            l2_misses=hierarchy.l2_misses,
-            engine=self.engine_for(None),
-        )
+        return self._simulate(trace, base_cpi, Cache(self.system.l1_icache, name="L1I"))
 
     def run_fixed_size(
         self,
@@ -183,19 +170,7 @@ class Simulator:
             associativity=associativity if associativity is not None else geometry.associativity,
         )
         icache = Cache(fixed_geometry, name=f"L1I-{size_bytes // 1024}K")
-        hierarchy = MemoryHierarchy(self.system)
-        cycles = self._run_trace(trace, icache, hierarchy, base_cpi, dri=None)
-        return SimulationResult(
-            benchmark=trace.name,
-            cache_kind="conventional",
-            instructions=trace.num_instructions,
-            cycles=cycles,
-            l1_accesses=icache.stats.accesses,
-            l1_misses=icache.stats.misses,
-            l2_accesses=hierarchy.l2_accesses,
-            l2_misses=hierarchy.l2_misses,
-            engine=self.engine_for(None),
-        )
+        return self._simulate(trace, base_cpi, icache)
 
     def run_dri(self, workload: WorkloadLike, parameters: DRIParameters) -> SimulationResult:
         """Simulate the DRI i-cache with the given adaptivity parameters."""
@@ -219,41 +194,48 @@ class Simulator:
             auto_interval=False,
             instructions_per_access=trace.instructions_per_line,
         )
+        return self._simulate(trace, base_cpi, icache, parameters)
+
+    # ------------------------------------------------------------------
+    # Replay and result
+    # ------------------------------------------------------------------
+    def _simulate(
+        self,
+        trace: TraceLike,
+        base_cpi: float,
+        icache: Cache,
+        parameters: Optional[DRIParameters] = None,
+    ) -> SimulationResult:
+        """Replay ``trace`` through ``icache`` and the L2/memory hierarchy.
+
+        ``parameters`` is ``None`` for a conventional (or fixed-size)
+        cache; otherwise ``icache`` is the :class:`DRIICache` built from
+        them, whose open interval is finalized after the replay.
+        """
         hierarchy = MemoryHierarchy(self.system)
-        cycles = self._run_trace(trace, icache, hierarchy, base_cpi, dri=parameters)
-        icache.finalize()
+        cycles = engine_replay(
+            trace,
+            icache,
+            hierarchy,
+            base_cpi,
+            self.system,
+            dri=parameters,
+            engine=self.engine,
+        )
+        dri_stats, resizing_tag_bits = None, 0
+        if parameters is not None:
+            icache.finalize()
+            dri_stats, resizing_tag_bits = icache.dri_stats, icache.resizing_tag_bits
         return SimulationResult(
             benchmark=trace.name,
-            cache_kind="dri",
+            cache_kind="conventional" if parameters is None else "dri",
             instructions=trace.num_instructions,
             cycles=cycles,
             l1_accesses=icache.stats.accesses,
             l1_misses=icache.stats.misses,
             l2_accesses=hierarchy.l2_accesses,
             l2_misses=hierarchy.l2_misses,
-            dri_stats=icache.dri_stats,
-            resizing_tag_bits=icache.resizing_tag_bits,
+            dri_stats=dri_stats,
+            resizing_tag_bits=resizing_tag_bits,
             engine=self.engine_for(parameters),
-        )
-
-    # ------------------------------------------------------------------
-    # Core loop
-    # ------------------------------------------------------------------
-    def _run_trace(
-        self,
-        trace: TraceLike,
-        icache: Cache,
-        hierarchy: MemoryHierarchy,
-        base_cpi: float,
-        dri: Optional[DRIParameters],
-    ) -> int:
-        """Replay ``trace`` through ``icache``; returns the cycle count."""
-        return engine_replay(
-            trace,
-            icache,
-            hierarchy,
-            base_cpi,
-            self.system,
-            dri=dri,
-            engine=self.engine,
         )

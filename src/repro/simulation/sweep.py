@@ -30,9 +30,11 @@ page cache no matter how many workers replay it, and each worker opens a
 benchmark's store once for the pool's whole lifetime.  Tasks travel in
 adaptive chunks with dynamic assignment (``chunk`` overrides the size),
 and results stream back as chunks finish (:meth:`ParameterSweep.prefetch_iter`).
-Every completed point lands in a per-(benchmark, geometry, parameters)
-memo, so repeated evaluations — the Figures 4–6 sensitivity studies all
-revisit the Figure 3 base points — never re-simulate.  The work unit of
+Every completed point lands in one memo keyed by its task,
+*(benchmark, parameters)*: the geometry and engine are fixed for a
+sweep, and each result records the engine that actually ran it.
+Repeated evaluations — the Figures 4–6 sensitivity studies all revisit
+the Figure 3 base points — therefore never re-simulate.  The work unit of
 a pool is a flat *(benchmark, grid point)* pair, so a multi-benchmark
 driver (:meth:`ParameterSweep.grid_many`, :meth:`ParameterSweep.evaluate_many`,
 or :meth:`ParameterSweep.prefetch` directly) keeps every worker busy
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.config.parameters import DRIParameters
-from repro.config.system import CacheGeometry, SystemConfig
+from repro.config.system import SystemConfig
 from repro.energy.comparison import PERFORMANCE_CONSTRAINT, ComparisonResult, compare_runs
 from repro.energy.model import EnergyModel
 from repro.simulation.executor import (
@@ -249,10 +251,7 @@ class ParameterSweep:
         self.max_respawns = max_respawns
         self._health = health if health is not None else CampaignHealth()
         self._executor: Optional[SweepExecutor] = None
-        self._conventional_cache: Dict[str, SimulationResult] = {}
-        self._dri_cache: Dict[
-            Tuple[str, CacheGeometry, str, DRIParameters], SimulationResult
-        ] = {}
+        self._memo: Dict[_SweepTask, SimulationResult] = {}
         self._store_dir: Optional[tempfile.TemporaryDirectory] = None
         self._stores: Dict[str, TraceStore] = {}
         self._trace_fingerprints: Dict[str, Tuple] = {}
@@ -367,37 +366,16 @@ class ParameterSweep:
             self._stores[trace.name] = store
         return store
 
-    def _dri_key(
-        self, trace: TraceLike, parameters: DRIParameters
-    ) -> Tuple[str, CacheGeometry, str, DRIParameters]:
-        """Memo key: one entry per (benchmark, geometry, engine, parameters).
-
-        The engine identity in the key is the *per-run concrete* engine
-        (:meth:`Simulator.engine_for`), never the ambiguous session
-        selector: under ``"kernel-fused"``, a run whose policy cannot
-        compile executes on the chunked kernel engine, and its memo entry
-        must record that — the engines are bit-identical, but a memo
-        entry must record *which* engine produced it so a campaign that
-        switches engines (e.g. a kernel run next to a batched
-        cross-check) never conflates provenance.
-        """
-        return (
-            trace.name,
-            self.simulator.system.l1_icache,
-            self.simulator.engine_for(parameters),
-            parameters,
-        )
-
     def _dri_result(
         self, trace: TraceLike, base_cpi: float, parameters: DRIParameters
     ) -> SimulationResult:
         """Run (or reuse) the DRI simulation for one configuration."""
         self._register_trace(trace)
-        key = self._dri_key(trace, parameters)
-        cached = self._dri_cache.get(key)
+        key = (trace.name, parameters)
+        cached = self._memo.get(key)
         if cached is None:
             cached = self.simulator.run_dri_trace(trace, base_cpi, parameters)
-            self._dri_cache[key] = cached
+            self._memo[key] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -407,17 +385,18 @@ class ParameterSweep:
         """Run (or reuse) the conventional i-cache baseline for a workload."""
         trace, _ = self.simulator.resolve_workload(workload)
         self._register_trace(trace)
-        cached = self._conventional_cache.get(trace.name)
+        key = (trace.name, None)
+        cached = self._memo.get(key)
         if cached is None:
             cached = self.simulator.run_conventional(workload)
-            self._conventional_cache[trace.name] = cached
+            self._memo[key] = cached
         return cached
 
     def evaluate(self, workload: WorkloadLike, parameters: DRIParameters) -> SweepPoint:
         """Simulate one DRI configuration and compare it with the baseline.
 
-        Simulation results are memoized per (benchmark, geometry,
-        parameters), so re-evaluating a configuration — as the sensitivity
+        Simulation results are memoized per (benchmark, parameters), so
+        re-evaluating a configuration — as the sensitivity
         experiments do with each benchmark's base point — costs only the
         energy comparison.
         """
@@ -520,30 +499,13 @@ class ParameterSweep:
             trace, base_cpi = self.simulator.resolve_workload(workload)
             self._register_trace(trace)
             resolved[trace.name] = (trace, base_cpi)
-            if parameters is None:
-                if trace.name in self._conventional_cache:
-                    continue
-                task: _SweepTask = (trace.name, None)
-            else:
-                if self._dri_key(trace, parameters) in self._dri_cache:
-                    continue
-                task = (trace.name, parameters)
+            task: _SweepTask = (trace.name, parameters)
+            if task in self._memo:
+                continue
             if task not in seen:
                 seen.add(task)
                 tasks.append(task)
         return tasks, resolved
-
-    def _memoize(
-        self,
-        task: _SweepTask,
-        result: SimulationResult,
-        resolved: Dict[str, Tuple[TraceLike, float]],
-    ) -> None:
-        name, parameters = task
-        if parameters is None:
-            self._conventional_cache[name] = result
-        else:
-            self._dri_cache[self._dri_key(resolved[name][0], parameters)] = result
 
     def prefetch_iter(
         self,
@@ -583,7 +545,7 @@ class ParameterSweep:
                     result = self.simulator.run_dri_trace(trace, base_cpi, parameters)
                 self._health.tasks_run += 1
                 self._health.chunk_wall_times.append(time.monotonic() - started)
-                self._memoize((name, parameters), result, resolved)
+                self._memo[(name, parameters)] = result
                 yield (name, parameters), result
             return
         stores: StoreMap = {
@@ -593,7 +555,7 @@ class ParameterSweep:
         executor = self._executor_for(jobs)
 
         def _memoize_result(index: int, result: SimulationResult) -> None:
-            self._memoize(tasks[index], result, resolved)
+            self._memo[tasks[index]] = result
 
         for index, result in executor.run(tasks, stores, on_result=_memoize_result):
             if isinstance(result, TaskError):
@@ -615,7 +577,7 @@ class ParameterSweep:
         sweep's persistent :class:`SweepExecutor` (warm across calls);
         each involved trace is spilled once into an mmap-backed store and
         the workers receive only its path.  Results land in the same
-        memos the serial path uses, so the subsequent
+        memo the serial path uses, so the subsequent
         :meth:`evaluate`/:meth:`grid` calls are pure lookups; returns the
         number of simulations actually run.
         """

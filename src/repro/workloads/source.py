@@ -362,7 +362,7 @@ class DinTraceSource(TraceSource):
         mask = ~np.uint64(self.line_size - 1)
         with self._open_text() as stream:
             block: list = []
-            for line in stream:
+            for lineno, line in enumerate(stream, start=1):
                 parts = line.split()
                 if not parts or parts[0].startswith("#"):
                     continue
@@ -372,7 +372,16 @@ class DinTraceSource(TraceSource):
                     address = parts[1]
                 else:
                     continue
-                block.append(int(address, 16))
+                try:
+                    value = int(address, 16)
+                except ValueError:
+                    value = -1  # reported below, with the out-of-range values
+                if not 0 <= value < 1 << 64:
+                    raise ValueError(
+                        f"{self.path}:{lineno}: address {address!r} is not a "
+                        "64-bit unsigned hex number"
+                    )
+                block.append(value)
                 if len(block) >= self.PARSE_BLOCK_LINES:
                     yield np.array(block, dtype=np.uint64) & mask
                     block = []

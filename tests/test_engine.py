@@ -620,9 +620,9 @@ class TestParallelSweep:
     def test_grid_memoizes_repeat_evaluations(self):
         sweep = self._sweep()
         sweep.grid("compress", miss_bounds=(10,), size_bounds=(1024,))
-        cached_before = len(sweep._dri_cache)
+        cached_before = len(sweep._memo)
         sweep.grid("compress", miss_bounds=(10,), size_bounds=(1024,))
-        assert len(sweep._dri_cache) == cached_before
+        assert len(sweep._memo) == cached_before
 
     def test_constructor_jobs_default_is_used(self):
         sweep = self._sweep(jobs=2)
@@ -675,7 +675,8 @@ class TestParallelSweep:
         points = [
             sweep.evaluate("hydro2d", replace(base, policy=spec)) for spec in specs
         ]
-        assert len(sweep._dri_cache) == 2
+        # One baseline entry plus one entry per policy.
+        assert len(sweep._memo) == 3
         # The two policies genuinely behave differently on this workload,
         # so aliased memo entries would be observable here too.
         assert (
@@ -684,7 +685,7 @@ class TestParallelSweep:
         )
         # Re-evaluating hits the memo and returns the matching policy's run.
         again = sweep.evaluate("hydro2d", replace(base, policy=specs[1]))
-        assert len(sweep._dri_cache) == 2
+        assert len(sweep._memo) == 3
         assert (
             again.simulation.dri_stats.size_trajectory()
             == points[1].simulation.dri_stats.size_trajectory()

@@ -23,6 +23,8 @@ the same tests compiled.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ import repro.memory.kernels.runtime as kernel_runtime
 from repro.config.parameters import DRIParameters, ThrottleConfig
 from repro.config.system import SystemConfig
 from repro.dri.dri_cache import DRIICache
+from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.simulation.engine import (
     engine_for_run,
@@ -307,6 +310,37 @@ class TestFallbackMatrix:
         )
         assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
 
+    def test_small_l2_block_falls_back_to_chunked_kernel(self, fused_selectable):
+        """An L2 block smaller than the L1's has no non-negative in-kernel
+        drain shift, so the run must take the chunked kernel engine."""
+        default = SystemConfig()
+        system = replace(
+            default,
+            l2_cache=replace(default.l2_cache, block_size=default.l1_icache.block_size // 2),
+        )
+        parameters = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
+        fused = Simulator(system, trace_instructions=40_000, seed=SEED, engine="kernel-fused")
+        batched = Simulator(system, trace_instructions=40_000, seed=SEED, engine="batched")
+        assert fused.engine_for(parameters) == "kernel"
+        a = fused.run_dri("compress", parameters)
+        b = batched.run_dri("compress", parameters)
+        assert a.engine == "kernel"
+        assert (a.l1_misses, a.l2_accesses, a.l2_misses, a.cycles) == (
+            b.l1_misses,
+            b.l2_accesses,
+            b.l2_misses,
+            b.cycles,
+        )
+        assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
+
+    def test_replay_fused_rejects_plain_cache(self):
+        system = SystemConfig()
+        trace = generate_trace(get_benchmark("compress"), total_instructions=4_000, seed=SEED)
+        with pytest.raises(ValueError, match="DRIICache"):
+            replay_fused(
+                trace, Cache(system.l1_icache), MemoryHierarchy(system), 0.75, system
+            )
+
     def test_conventional_run_records_kernel(self, fused_selectable):
         simulator = Simulator(trace_instructions=40_000, seed=SEED, engine="kernel-fused")
         assert simulator.engine_for(None) == "kernel"
@@ -341,8 +375,8 @@ class TestFallbackMatrix:
         )
 
     def test_memo_keys_record_per_run_engine(self, fused_selectable):
-        """One fused sweep, two policies: the memo must key the compilable
-        run under kernel-fused and the fallback run under kernel."""
+        """One fused sweep, two policies: the memo must hold the compilable
+        run as kernel-fused and the fallback run as kernel."""
         compilable = DRIParameters(miss_bound=30, size_bound=2048, sense_interval=5_000)
         fallback = compilable.with_policy("pid")
         sweep = ParameterSweep(
@@ -350,7 +384,11 @@ class TestFallbackMatrix:
         )
         sweep.evaluate("compress", compilable)
         sweep.evaluate("compress", fallback)
-        engines = {key[3].policy.name: key[2] for key in sweep._dri_cache}
+        engines = {
+            parameters.policy.name: result.engine
+            for (_, parameters), result in sweep._memo.items()
+            if parameters is not None
+        }
         assert engines == {"miss-bound": "kernel-fused", "pid": "kernel"}
 
 

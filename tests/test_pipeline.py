@@ -16,7 +16,7 @@ class TestAccounting:
 
     def test_fetch_miss_adds_exposed_latency(self):
         timing = TimingModel(base_cpi=0.75)
-        timing.account_fetch_miss(12)
+        timing.account_fetch_misses(12, 1)
         exposed = 12 * (1.0 - timing.fetch_stall_overlap(12))
         assert timing.breakdown.fetch_stall_cycles == pytest.approx(exposed)
 
@@ -24,32 +24,18 @@ class TestAccounting:
         loop = TimingModel(base_cpi=0.75)
         batch = TimingModel(base_cpi=0.75)
         for _ in range(100):
-            loop.account_fetch_miss(12)
+            loop.account_fetch_misses(12, 1)
         batch.account_fetch_misses(12, 100)
         assert batch.breakdown.fetch_stall_cycles == pytest.approx(
             loop.breakdown.fetch_stall_cycles
         )
 
-    def test_branch_misprediction_penalty(self):
-        timing = TimingModel()
-        timing.account_branch_misprediction()
-        assert timing.breakdown.branch_penalty_cycles == pytest.approx(
-            timing.pipeline.branch_misprediction_penalty
-        )
-
     def test_total_is_sum_of_components(self):
         timing = TimingModel(base_cpi=1.0)
         timing.account_instructions(100)
-        timing.account_fetch_miss(12)
-        timing.account_branch_misprediction()
+        timing.account_fetch_misses(12, 1)
         breakdown = timing.breakdown
-        assert timing.cycles == int(
-            round(
-                breakdown.base_cycles
-                + breakdown.fetch_stall_cycles
-                + breakdown.branch_penalty_cycles
-            )
-        )
+        assert timing.cycles == int(round(breakdown.base_cycles + breakdown.fetch_stall_cycles))
 
     def test_reset_zeroes_counters(self):
         timing = TimingModel()
@@ -94,7 +80,7 @@ class TestValidation:
 
     def test_rejects_negative_latency(self):
         with pytest.raises(ValueError):
-            TimingModel().account_fetch_miss(-1)
+            TimingModel().account_fetch_misses(-1, 1)
 
     def test_rejects_negative_batch_count(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.config.parameters import DRIParameters
 from repro.config.system import CacheGeometry
-from repro.cpu.branch import SaturatingCounter
 from repro.dri.dri_cache import DRIICache
 from repro.dri.mask import SizeMask
 from repro.energy.model import EnergyModel, RunStatistics
@@ -208,23 +207,3 @@ class TestEnergyProperties:
             )
 
         assert leakage(active_small) <= leakage(active_large) + 1e-9
-
-
-# ----------------------------------------------------------------------
-# Saturating counter invariants
-# ----------------------------------------------------------------------
-class TestCounterProperties:
-    @given(
-        bits=st.integers(min_value=1, max_value=6),
-        operations=st.lists(st.booleans(), min_size=0, max_size=200),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_counter_stays_in_range(self, bits, operations):
-        counter = SaturatingCounter(bits=bits)
-        maximum = (1 << bits) - 1
-        for increment in operations:
-            if increment:
-                counter.increment()
-            else:
-                counter.decrement()
-            assert 0 <= counter.value <= maximum

@@ -212,6 +212,13 @@ class TestDinReader:
         assert source.num_accesses == 2
         assert np.concatenate(list(source.chunks())).tolist() == [0x1000, 0x1020]
 
+    @pytest.mark.parametrize("address", ["zz", "-40", "1" + "0" * 16])
+    def test_bad_address_names_file_and_line(self, tmp_path, address):
+        path = tmp_path / "bad.din"
+        path.write_text(f"# header\n2 1000\n2 {address}\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"bad\.din:3: address '{address}'"):
+            list(DinTraceSource(path).chunks())
+
     def test_import_to_store_and_replay(self, tmp_path):
         din = tmp_path / "fixture.din.gz"
         with gzip.open(din, "wt", encoding="ascii") as stream:
