@@ -8,11 +8,12 @@ This module provides that replay loop in four interchangeable forms:
   probe per access), kept as the semantic reference;
 * :func:`replay_batched` — sense-interval-aligned numpy chunks: each chunk
   is classified hit/miss vectorised through
-  :meth:`~repro.memory.cache.Cache.access_batch`, the chunk's misses are
-  drained through the hierarchy in one vectorised L2 classification
-  (:meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`),
-  and DRI resize decisions are applied at chunk boundaries only — exactly
-  where the scalar loop applies them;
+  :meth:`~repro.memory.cache.Cache.access_batch`, DRI resize decisions are
+  applied at chunk boundaries only — exactly where the scalar loop applies
+  them — and the buffered misses of every :data:`DEFAULT_CHUNK_ACCESSES`
+  L1 accesses are drained through the hierarchy in one vectorised L2
+  classification
+  (:meth:`~repro.memory.hierarchy.MemoryHierarchy.access_batch_from_l1_misses`);
 * :func:`replay_kernel` — the same chunked loop, but every chunk (L1
   classification and L2 drain alike) goes through the compiled kernel
   layer (:mod:`repro.memory.kernels`, DESIGN.md §10): one in-order
@@ -56,16 +57,27 @@ associativity, L1 and L2 alike — never enters the Python interpreter.
 
 Chunking policy
 ---------------
-DRI runs use one chunk per sense interval (the decision points *are* the
-chunk boundaries).  Runs without resize decisions (conventional and
+DRI runs use one L1 chunk per sense interval (the decision points *are*
+the chunk boundaries).  Runs without resize decisions (conventional and
 fixed-size caches) have no boundaries to respect and use a fixed large
 chunk, :data:`DEFAULT_CHUNK_ACCESSES`, which bounds the working memory of
 the classification scratch arrays.
+
+The L2 drain does not follow the L1 chunking: in every mode the chunked
+engines buffer L1 misses and drain them once per
+:data:`DEFAULT_CHUNK_ACCESSES` L1 accesses, plus once at the end.  This
+is exact because the L2's state and counts depend only on the in-order
+L1 miss stream, and nothing reads them before the replay ends — resize
+policies see only L1 misses.  A conventional run keeps one drain per
+chunk; a DRI run drains about once per 64K accesses instead of once per
+interval, which removes most of numpy's fixed per-call cost.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
+
+import numpy as np
 
 from repro.config.parameters import DRIParameters
 from repro.config.system import SystemConfig
@@ -230,6 +242,15 @@ def replay_batched(
     boundaries *are* the decision points even when the stream is being
     generated or read from disk on the fly.
 
+    The drain is deferred: each chunk's misses are buffered, and the
+    buffer goes through the L2 once every :data:`DEFAULT_CHUNK_ACCESSES`
+    L1 accesses and once after the last chunk.  Nothing reads the L2
+    mid-replay (resize decisions depend only on L1 misses), and the
+    buffer keeps the misses in order, so the L2's final state and counts
+    are the per-chunk drain's.  The trigger counts L1 accesses rather than
+    misses, so a conventional run drains once per chunk and buffers at
+    most one chunk's misses.
+
     ``kernel=True`` routes every chunk classification — the L1 lookup
     and the L2 miss drain alike — through the compiled kernel layer
     instead of the numpy classifiers (this is :func:`replay_kernel`).
@@ -247,16 +268,27 @@ def replay_batched(
     miss_memory = 0
     accesses = 0
     interval_fill = 0
+    pending = []  # L1 miss arrays not yet drained through the L2, in order
+    pending_accesses = 0  # L1 accesses those misses came from
+
+    def drain() -> None:
+        nonlocal miss_l2, miss_memory, pending_accesses
+        if pending:
+            misses = np.concatenate(pending)
+            l2_hits, l2_misses = hierarchy.access_batch_from_l1_misses(misses, kernel=kernel)
+            miss_l2 += l2_hits
+            miss_memory += l2_misses
+            pending.clear()
+        pending_accesses = 0
 
     for chunk in source.chunks(chunk_accesses):
         accesses += chunk.shape[0]
         hits = icache.access_batch(chunk, kernel=kernel)
         if not hits.all():
-            l2_hits, l2_misses = hierarchy.access_batch_from_l1_misses(
-                chunk[~hits], kernel=kernel
-            )
-            miss_l2 += l2_hits
-            miss_memory += l2_misses
+            pending.append(chunk[~hits])
+        pending_accesses += chunk.shape[0]
+        if pending_accesses >= DEFAULT_CHUNK_ACCESSES:
+            drain()
         if dri_cache is not None:
             # Count accesses into the open interval rather than trusting
             # each chunk to be exactly interval-sized: a source that cuts
@@ -273,6 +305,8 @@ def replay_batched(
             if interval_fill == chunk_accesses:
                 dri_cache.end_interval(instructions=interval_fill * instructions_per_line)
                 interval_fill = 0
+
+    drain()
 
     return _cycles(system, base_cpi, accesses * instructions_per_line, miss_l2, miss_memory)
 

@@ -164,7 +164,7 @@ def _run_chunk(
             _fault_hook(name, parameters)
         trace, base_cpi, _ = _worker_sources[name]
         if parameters is None:
-            results.append(_worker_simulator.run_conventional(trace))
+            results.append(_worker_simulator.run_conventional_trace(trace, base_cpi))
         else:
             results.append(_worker_simulator.run_dri_trace(trace, base_cpi, parameters))
     return os.getpid(), results
@@ -760,7 +760,7 @@ class SweepExecutor:
                         self._serial_sources[name] = cached
                     trace = cached[0]
                     if parameters is None:
-                        result = self._serial_simulator.run_conventional(trace)
+                        result = self._serial_simulator.run_conventional_trace(trace, base_cpi)
                     else:
                         result = self._serial_simulator.run_dri_trace(
                             trace, base_cpi, parameters

@@ -145,6 +145,16 @@ class Simulator:
     def run_conventional(self, workload: WorkloadLike) -> SimulationResult:
         """Simulate the conventional (fixed-size) i-cache baseline."""
         trace, base_cpi = self.resolve_workload(workload)
+        return self.run_conventional_trace(trace, base_cpi)
+
+    def run_conventional_trace(self, trace: TraceLike, base_cpi: float) -> SimulationResult:
+        """Simulate the conventional baseline on an already-resolved (trace, CPI) pair.
+
+        The conventional counterpart of :meth:`run_dri_trace`: the sweep
+        resolves a workload once and runs both kinds of replay with the
+        same base CPI, so a custom :class:`WorkloadSpec`'s baseline never
+        falls back to the registry (or generic) CPI of its trace's name.
+        """
         return self._simulate(trace, base_cpi, Cache(self.system.l1_icache, name="L1I"))
 
     def run_fixed_size(

@@ -383,12 +383,12 @@ class ParameterSweep:
     # ------------------------------------------------------------------
     def conventional_baseline(self, workload: WorkloadLike) -> SimulationResult:
         """Run (or reuse) the conventional i-cache baseline for a workload."""
-        trace, _ = self.simulator.resolve_workload(workload)
+        trace, base_cpi = self.simulator.resolve_workload(workload)
         self._register_trace(trace)
         key = (trace.name, None)
         cached = self._memo.get(key)
         if cached is None:
-            cached = self.simulator.run_conventional(workload)
+            cached = self.simulator.run_conventional_trace(trace, base_cpi)
             self._memo[key] = cached
         return cached
 
@@ -540,7 +540,7 @@ class ParameterSweep:
                 trace, base_cpi = resolved[name]
                 started = time.monotonic()
                 if parameters is None:
-                    result = self.simulator.run_conventional(trace)
+                    result = self.simulator.run_conventional_trace(trace, base_cpi)
                 else:
                     result = self.simulator.run_dri_trace(trace, base_cpi, parameters)
                 self._health.tasks_run += 1

@@ -10,15 +10,25 @@ parallel-grid and engine-selection plumbing.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.config.parameters import DRIParameters, PolicySpec
-from repro.config.system import CacheGeometry, SystemConfig
+from repro.config.system import DEFAULT_SYSTEM, CacheGeometry, SystemConfig
 from repro.dri.dri_cache import DRIICache
 from repro.dri.policies import policy_names
 from repro.memory.cache import Cache
-from repro.simulation.engine import resolve_engine
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.simulation.engine import (
+    DEFAULT_CHUNK_ACCESSES,
+    replay_batched,
+    replay_kernel,
+    replay_scalar,
+    resolve_engine,
+)
 from repro.simulation.simulator import Simulator
 from repro.simulation.sweep import ParameterSweep
 from repro.workloads.generator import generate_trace
@@ -576,6 +586,101 @@ class TestMisalignedSource:
         b = scalar.run_dri_trace(trace, 0.75, parameters)
         assert (a.cycles, a.l1_misses) == (b.cycles, b.l1_misses)
         assert _interval_tuples(a.dri_stats) == _interval_tuples(b.dri_stats)
+
+
+class _RaggedIntervalSource(TraceSource):
+    """Cuts every requested chunk into 1-4 random pieces.
+
+    No piece crosses a requested boundary (the chunked engines reject
+    that), but intervals end mid-chunk-sequence and the pieces never line
+    up with the engine's L2 drain windows.
+    """
+
+    def __init__(self, trace, seed=11):
+        self.trace = trace
+        self.name = trace.name
+        self.instructions_per_line = trace.instructions_per_line
+        self.line_size = trace.line_size
+        self.seed = seed
+
+    @property
+    def num_accesses(self):
+        return len(self.trace)
+
+    def chunks(self, chunk_accesses=1 << 16):
+        rng = np.random.default_rng(self.seed)
+        addresses = self.trace.line_addresses
+        for start in range(0, addresses.shape[0], chunk_accesses):
+            window = addresses[start : start + chunk_accesses]
+            cuts = np.sort(rng.integers(1, window.shape[0] + 1, size=rng.integers(0, 4)))
+            yield from np.split(window, cuts)
+
+
+class TestDeferredL2Drain:
+    """The chunked engines buffer L1 misses across sense intervals and
+    drain them through the L2 once per ``DEFAULT_CHUNK_ACCESSES`` L1
+    accesses.  These runs span several drain windows, so drains land
+    mid-run, between resize decisions, on ragged chunk cuts."""
+
+    # A 16K 4-way L2 keeps the L2 evicting, so its tag plane and LRU
+    # ranks carry real information about the order of the miss stream.
+    SYSTEM = replace(
+        DEFAULT_SYSTEM, l2_cache=CacheGeometry(size_bytes=16 * 1024, associativity=4, latency=12)
+    )
+    PARAMETERS = DRIParameters(miss_bound=30, size_bound=1024, sense_interval=20_000)
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        trace = generate_trace(get_benchmark("gcc"), total_instructions=1_700_000, seed=SEED)
+        assert len(trace) >= 3 * DEFAULT_CHUNK_ACCESSES
+        return trace
+
+    def _run(self, replay_fn, source, system, hierarchy=None):
+        icache = DRIICache(
+            system.l1_icache,
+            self.PARAMETERS,
+            address_bits=system.address_bits,
+            auto_interval=False,
+            instructions_per_access=source.instructions_per_line,
+        )
+        hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy(system)
+        cycles = replay_fn(source, icache, hierarchy, 0.75, system, dri=self.PARAMETERS)
+        icache.finalize()
+        return cycles, icache, hierarchy
+
+    @pytest.mark.parametrize("associativity", [1, 4])
+    @pytest.mark.parametrize("replay_fn", [replay_batched, replay_kernel], ids=["batched", "kernel"])
+    def test_multi_window_run_matches_scalar(self, trace, replay_fn, associativity):
+        system = self.SYSTEM.with_icache(64 * 1024, associativity=associativity)
+        cycles_s, cache_s, hier_s = self._run(replay_scalar, trace, system)
+        cycles_c, cache_c, hier_c = self._run(replay_fn, _RaggedIntervalSource(trace), system)
+        assert cycles_c == cycles_s
+        assert _cache_stats_tuple(cache_c.stats) == _cache_stats_tuple(cache_s.stats)
+        assert _cache_stats_tuple(hier_c.l2.stats) == _cache_stats_tuple(hier_s.l2.stats)
+        assert (hier_c.l2_accesses, hier_c.l2_misses, hier_c.memory.accesses) == (
+            hier_s.l2_accesses,
+            hier_s.l2_misses,
+            hier_s.memory.accesses,
+        )
+        assert hier_s.l2.stats.evictions > 0
+        assert _interval_tuples(cache_c.dri_stats) == _interval_tuples(cache_s.dri_stats)
+        assert np.array_equal(hier_c.l2._tag_plane, hier_s.l2._tag_plane)
+        assert np.array_equal(hier_c.l2._policy.ranks, hier_s.l2._policy.ranks)
+
+    def test_drains_once_per_window_not_per_interval(self, trace):
+        hierarchy = MemoryHierarchy(self.SYSTEM)
+        sizes = []
+        drain = hierarchy.access_batch_from_l1_misses
+
+        def counting_drain(addresses, kernel=False):
+            sizes.append(int(addresses.shape[0]))
+            return drain(addresses, kernel=kernel)
+
+        hierarchy.access_batch_from_l1_misses = counting_drain
+        _, icache, _ = self._run(replay_batched, trace, self.SYSTEM, hierarchy)
+        assert len(sizes) <= math.ceil(len(trace) / DEFAULT_CHUNK_ACCESSES)
+        assert len(icache.dri_stats.intervals) > len(sizes)
+        assert sum(sizes) == icache.stats.misses == hierarchy.l2_accesses
 
 
 class TestParallelSweep:

@@ -141,3 +141,42 @@ class TestBenchmarkNameCollision:
         with sweep:
             with pytest.raises(ValueError, match="collision"):
                 sweep.prefetch(pairs)
+
+
+class TestCustomSpecBaseline:
+    """A custom :class:`WorkloadSpec`'s conventional baseline runs at the
+    spec's own base CPI on every path, not at the registry (or generic)
+    CPI its trace name would resolve to."""
+
+    def _spec(self):
+        import dataclasses
+
+        from repro.workloads.spec95 import get_benchmark
+
+        return dataclasses.replace(get_benchmark("compress"), name="custom", base_cpi=1.5)
+
+    def _sweep(self, jobs: int = 1) -> ParameterSweep:
+        return ParameterSweep(
+            Simulator(trace_instructions=20_000, seed=3),
+            base_parameters=DRIParameters(sense_interval=5_000),
+            jobs=jobs,
+        )
+
+    def test_prefetch_matches_direct_baseline(self):
+        spec = self._spec()
+        direct = self._sweep().conventional_baseline(spec)
+        serial = self._sweep()
+        serial.prefetch([(spec, None)])
+        with self._sweep(jobs=2) as parallel:
+            parallel.prefetch([(spec, None), (spec, DRIParameters(sense_interval=5_000))])
+            pooled = parallel.conventional_baseline(spec)
+        assert serial.conventional_baseline(spec).cycles == direct.cycles
+        assert pooled.cycles == direct.cycles
+
+    def test_baseline_uses_the_spec_cpi(self):
+        spec = self._spec()
+        simulator = Simulator(trace_instructions=20_000, seed=3)
+        custom = simulator.run_conventional(spec)
+        trace, _ = simulator.resolve_workload(spec)
+        assert simulator.run_conventional_trace(trace, 1.5).cycles == custom.cycles
+        assert simulator.run_conventional(trace).cycles < custom.cycles
