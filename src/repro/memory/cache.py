@@ -19,11 +19,14 @@ Design notes
   over the set-sorted chunk; set-associative caches process the chunk in
   *wavefronts* — the k-th access of every touched set is independent of
   every other set's, so each wavefront is one vectorised probe/fill step
-  over distinct sets.  Sets hammered far more often than the rest of the
-  chunk (a tight loop in one set) fall out of the wavefronts early and
-  are finished by the scalar tail, keeping the vector width useful.
+  over distinct sets.  Once fewer than :data:`MIN_WAVEFRONT_SETS` sets
+  are still active (a tight loop in a few sets, or a small DRI size with
+  few sets at all), the wavefronts stop and the remaining sets are
+  finished one at a time by the policy's ``finish_set``: a plain-list
+  loop over the set's remaining probes.
 * Both paths are bit-identical to calling :meth:`Cache.access` per
-  address, including statistics, eviction counts, and final contents.
+  address, including statistics, eviction counts, final contents and
+  replacement state.
 * Addresses are plain integers; the set index is extracted with shifts and
   masks derived from the geometry, exactly as hardware would.
 * The cache exposes ``invalidate_set`` and ``flush`` so the DRI i-cache can
@@ -42,10 +45,18 @@ from repro.config.system import CacheGeometry
 from repro.memory.kernels.classify import classify_chunk as _kernel_classify_chunk
 from repro.memory.replacement import DEFAULT_RANDOM_SEED, make_replacement
 
-MIN_WAVEFRONT_SETS = 8
+MIN_WAVEFRONT_SETS = 32
 """Below this many still-active sets, a wavefront stops paying for numpy
 dispatch and the set-associative classifier finishes the chunk's remaining
-(heavily skewed) sets with the scalar tail."""
+(heavily skewed) sets on the plain-list tail.
+
+A wavefront round costs a fixed ~12 µs of numpy dispatch plus ~0.36 µs
+per active set; the tail costs ~3 µs per set (loading and storing its row
+and policy state) plus ~0.4 µs per probe (2-vCPU x86-64 VM, 64K 4-way
+LRU).  Counting rounds and tail work over the Figure 3 grid on the 64K
+4-way i-cache at cutoffs 8/16/32/64/128 puts the modelled cost lowest at
+32, and measured campaign times agree: the optimum is flat from 24 to 64,
+and a cutoff of 8 is 10-15% slower."""
 
 
 @dataclass
@@ -190,8 +201,8 @@ class Cache:
         """One full-semantics access on the substrate, without statistics.
 
         Returns ``(hit, evicted_tag)``.  This is the scalar reference the
-        batched classifiers are bit-identical to, and the workhorse of the
-        set-associative classifier's scalar tail.
+        batched classifiers (and the set-associative classifier's
+        plain-list tail) are bit-identical to.
 
         Direct-mapped caches take a specialised path: one ``item()`` read
         of the flat tag column, a pure-int compare, and a scalar store —
@@ -353,7 +364,9 @@ class Cache:
         and fill for misses, and a replacement-state update, all over
         distinct sets.  When fewer than :data:`MIN_WAVEFRONT_SETS` sets
         remain active (a chunk dominated by a few hot sets), the remaining
-        probes are finished per set with the scalar reference.
+        probes are finished per set by
+        :meth:`~repro.memory.replacement.ReplacementState.finish_set`, a
+        plain-list loop bit-identical to one :meth:`_probe_set` per probe.
         """
         count = set_indices.shape[0]
         if count == 0:
@@ -437,17 +450,23 @@ class Cache:
         policy.scatter(sets_desc, policy_work)
 
         if rounds < max_rounds:
-            # Scalar tail: the few sets probed more often than the completed
-            # wavefronts, each finished in program order on the substrate.
-            for row in range(int(actives[rounds])):
-                set_index = int(sets_desc[row])
-                start = int(starts_desc[row]) + rounds
-                stop = int(starts_desc[row]) + int(counts_desc[row])
-                for probe in range(start, stop):
-                    hit, evicted = self._probe_set(set_index, int(kept_tags[probe]))
-                    kept_hits[probe] = hit
-                    if evicted is not None:
-                        evictions += 1
+            # Tail: the few sets probed more often than the completed
+            # wavefronts, each finished in program order in one plain-list
+            # loop.  Only each set's own remaining probes are converted to
+            # Python ints (and their hits written back by slice), so a
+            # 64K-access chunk never becomes one big list of ints.
+            tail = int(actives[rounds])
+            for set_index, first, run in zip(
+                sets_desc[:tail].tolist(),
+                starts_desc[:tail].tolist(),
+                counts_desc[:tail].tolist(),
+            ):
+                start, stop = first + rounds, first + run
+                tail_hits, tail_evictions = policy.finish_set(
+                    set_index, plane[set_index], kept_tags[start:stop].tolist()
+                )
+                kept_hits[start:stop] = tail_hits
+                evictions += tail_evictions
 
         sorted_hits[kept] = kept_hits
         total_hits = int(np.count_nonzero(sorted_hits))

@@ -15,15 +15,23 @@ associativity)`` tag plane:
   generator states (deterministic for a given seed, so simulations stay
   reproducible without touching Python's global random state).
 
-The per-set methods (``touch_one`` / ``fill_one`` / ``victim_one``) drive
-the scalar reference path.  The batched classifier of
-:meth:`repro.memory.cache.Cache.access_batch` instead works on *work
-arrays*: it calls ``gather`` once per chunk to pull the state of every
-touched set into a compact array (ordered so each wavefront is a
-contiguous prefix), drives the wavefronts through ``victims_block`` /
-``update_block``, and calls ``scatter`` once at the end to write the
-state back.  Rows of a work array always correspond to *distinct* sets,
-which the classifier guarantees by construction.
+The per-access methods (``touch_one`` / ``fill_one`` / ``victim_one``)
+drive the scalar reference path, :meth:`repro.memory.cache.Cache.access`.
+The batched classifier of :meth:`repro.memory.cache.Cache.access_batch`
+uses two others:
+
+* its wavefronts work on *work arrays*: it calls ``gather`` once per
+  chunk to pull the state of every touched set into a compact array
+  (ordered so each wavefront is a contiguous prefix), drives the
+  wavefronts through ``victims_block`` / ``update_block``, and calls
+  ``scatter`` once at the end to write the state back.  Rows of a work
+  array always correspond to *distinct* sets, which the classifier
+  guarantees by construction;
+* its tail (the few hot sets left when the wavefronts grow narrow) calls
+  ``finish_set`` once per set: the set's tag row and policy state are
+  loaded once as plain Python values (an LRU recency list, a FIFO
+  next-way int, an LCG int), its remaining probes run in order in a
+  plain-list loop, and both are stored back once.
 
 ``reset_range`` restores a span of sets to the exact state of a freshly
 constructed strategy (used when the DRI i-cache gates sets off).  The
@@ -35,6 +43,7 @@ and silently dropped a custom seed.
 from __future__ import annotations
 
 import abc
+from typing import List, Tuple
 
 import numpy as np
 
@@ -52,7 +61,9 @@ class ReplacementState(abc.ABC):
     The work-array methods must be bit-identical to applying the
     corresponding ``*_one`` methods per access: a round trip of ``gather``
     → per-wavefront ``victims_block`` (full sets only) + ``update_block``
-    → ``scatter`` leaves exactly the state the scalar path would.
+    → ``scatter`` leaves exactly the state the scalar path would.  So must
+    ``finish_set``: it equals one ``Cache._probe_set`` per tag, in the
+    hit outcomes, the eviction count, the tag row and the policy state.
     """
 
     name: str = "abstract"
@@ -104,6 +115,15 @@ class ReplacementState(abc.ABC):
         """Close one wavefront: work rows ``0..active`` each serviced one
         access on ``ways[i]``, a hit where ``hit_mask[i]`` and a fill
         elsewhere."""
+
+    @abc.abstractmethod
+    def finish_set(
+        self, set_index: int, row: np.ndarray, tags: List[int]
+    ) -> Tuple[List[bool], int]:
+        """Run ``tags`` in order against ``set_index``, whose tag-plane row
+        is ``row`` (a writable view): look up, fill on a miss (an empty
+        frame first, else the policy's victim) and update the policy.
+        Returns the per-probe hit flags and the number of evictions."""
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -169,6 +189,40 @@ class LRUState(ReplacementState):
         rows += rows < ranks[:, None]
         rows[positions, ways] = 0
 
+    def finish_set(
+        self, set_index: int, row: np.ndarray, tags: List[int]
+    ) -> Tuple[List[bool], int]:
+        ways = row.tolist()
+        ranks = self.ranks[set_index]
+        rank_of = ranks.tolist()
+        # The set's ways from most to least recent: a touch or fill moves
+        # a way to the front, and the victim is the last one.
+        recency = rank_of[:]
+        for way, rank in enumerate(rank_of):
+            recency[rank] = way
+        hits = []
+        evictions = 0
+        for tag in tags:
+            if tag in ways:
+                hits.append(True)
+                way = ways.index(tag)
+            else:
+                hits.append(False)
+                if -1 in ways:
+                    way = ways.index(-1)
+                else:
+                    way = recency[-1]
+                    evictions += 1
+                ways[way] = tag
+            if recency[0] != way:
+                recency.remove(way)
+                recency.insert(0, way)
+        for rank, way in enumerate(recency):
+            rank_of[way] = rank
+        row[:] = ways
+        ranks[:] = rank_of
+        return hits, evictions
+
     def reset_range(self, start: int, stop: int) -> None:
         self.ranks[start:stop] = np.arange(self.associativity, dtype=np.int64)
 
@@ -207,6 +261,29 @@ class FIFOState(ReplacementState):
         fills = np.nonzero(~hit_mask)[0]
         if fills.size:
             work[fills] = (ways[fills] + 1) % self.associativity
+
+    def finish_set(
+        self, set_index: int, row: np.ndarray, tags: List[int]
+    ) -> Tuple[List[bool], int]:
+        ways = row.tolist()
+        next_way = int(self.next_way[set_index])
+        hits = []
+        evictions = 0
+        for tag in tags:
+            if tag in ways:
+                hits.append(True)
+                continue
+            hits.append(False)
+            if -1 in ways:
+                way = ways.index(-1)
+            else:
+                way = next_way
+                evictions += 1
+            ways[way] = tag
+            next_way = (way + 1) % self.associativity
+        row[:] = ways
+        self.next_way[set_index] = next_way
+        return hits, evictions
 
     def reset_range(self, start: int, stop: int) -> None:
         self.next_way[start:stop] = 0
@@ -257,6 +334,29 @@ class RandomState(ReplacementState):
         self, work: np.ndarray, active: int, ways: np.ndarray, hit_mask: np.ndarray
     ) -> None:
         """Neither hits nor fills affect random replacement."""
+
+    def finish_set(
+        self, set_index: int, row: np.ndarray, tags: List[int]
+    ) -> Tuple[List[bool], int]:
+        ways = row.tolist()
+        state = int(self.states[set_index])
+        hits = []
+        evictions = 0
+        for tag in tags:
+            if tag in ways:
+                hits.append(True)
+                continue
+            hits.append(False)
+            if -1 in ways:
+                way = ways.index(-1)
+            else:
+                state = (_LCG_MULTIPLIER * state + _LCG_INCREMENT) & _LCG_MASK
+                way = state % self.associativity
+                evictions += 1
+            ways[way] = tag
+        row[:] = ways
+        self.states[set_index] = state
+        return hits, evictions
 
     def reset_range(self, start: int, stop: int) -> None:
         self.states[start:stop] = self.seed

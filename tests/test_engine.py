@@ -44,6 +44,16 @@ def _cache_stats_tuple(stats):
     return (stats.accesses, stats.hits, stats.misses, stats.evictions, stats.invalidations)
 
 
+def _policy_state(cache):
+    """The cache's replacement-state array: LRU ranks, FIFO next-way
+    pointers or random LCG states."""
+    policy = cache._policy
+    for name in ("ranks", "next_way", "states"):
+        if hasattr(policy, name):
+            return getattr(policy, name)
+    raise AssertionError(f"unknown replacement state {type(policy).__name__}")
+
+
 def _interval_tuples(dri_stats):
     return [
         (
@@ -326,7 +336,8 @@ class TestAccessBatch:
 class TestSetAssociativeEquivalence:
     """The wavefront classifier is bit-identical to the scalar reference
     at every associativity and replacement policy: same statistics, same
-    eviction counts, same per-access hit outcomes, same final contents."""
+    eviction counts, same per-access hit outcomes, same final contents,
+    same replacement state."""
 
     def _mixed_trace(self, rng, loop_lines=64, loop_repeats=40, scatter=2_000, span=2**20):
         """Scattered accesses around a hot loop: exercises empty-way fills,
@@ -357,16 +368,22 @@ class TestSetAssociativeEquivalence:
         assert np.array_equal(hits, reference_hits)
         assert _cache_stats_tuple(batched.stats) == _cache_stats_tuple(reference.stats)
         assert np.array_equal(batched._tag_plane, reference._tag_plane)
+        assert np.array_equal(_policy_state(batched), _policy_state(reference))
+
+    @staticmethod
+    def _hot_set_addresses(rng, count):
+        """``count`` accesses that all map to set 3 of a 16-set 4-way
+        cache, with tags drawn from a pool of 9 (hits, empty-frame fills
+        and policy victims)."""
+        tags = rng.integers(0, 9, size=count, dtype=np.uint64)
+        return (tags << np.uint64(9)) | np.uint64(3 << 5)
 
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     def test_single_hot_set_takes_the_scalar_tail(self, policy):
         """A chunk dominated by one set exceeds the wavefront width cutoff
-        and must finish on the scalar tail with identical results."""
-        rng = np.random.default_rng(23)
+        and must finish on the tail with identical results."""
         geometry = CacheGeometry(size_bytes=2 * 1024, block_size=32, associativity=4)
-        # 16 sets: every address maps to set 3, tags drawn from a small pool.
-        tags = rng.integers(0, 9, size=4_000, dtype=np.uint64)
-        addresses = (tags << np.uint64(9)) | np.uint64(3 << 5)
+        addresses = self._hot_set_addresses(np.random.default_rng(23), 4_000)
         reference = Cache(geometry, replacement=policy)
         reference_hits = np.array(
             [reference.access(address).hit for address in addresses.tolist()]
@@ -376,6 +393,23 @@ class TestSetAssociativeEquivalence:
         assert np.array_equal(hits, reference_hits)
         assert _cache_stats_tuple(batched.stats) == _cache_stats_tuple(reference.stats)
         assert np.array_equal(batched._tag_plane, reference._tag_plane)
+        assert np.array_equal(_policy_state(batched), _policy_state(reference))
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    def test_hot_set_tail_state_carries_across_chunks(self, policy):
+        """Each chunk's tail must store the set's row and policy state
+        back: the next chunk starts from them, so a tail that dropped its
+        FIFO pointer or LCG state would diverge from the second chunk on."""
+        geometry = CacheGeometry(size_bytes=2 * 1024, block_size=32, associativity=4)
+        addresses = self._hot_set_addresses(np.random.default_rng(29), 3_000)
+        reference = Cache(geometry, replacement=policy)
+        batched = Cache(geometry, replacement=policy)
+        for chunk in np.split(addresses, [700, 1_500, 1_501, 2_300]):
+            reference_hits = [reference.access(address).hit for address in chunk.tolist()]
+            assert np.array_equal(batched.access_batch(chunk), reference_hits)
+            assert np.array_equal(batched._tag_plane, reference._tag_plane)
+            assert np.array_equal(_policy_state(batched), _policy_state(reference))
+        assert _cache_stats_tuple(batched.stats) == _cache_stats_tuple(reference.stats)
 
     @pytest.mark.parametrize("associativity", [2, 4])
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from repro.config.system import CacheGeometry
 from repro.dri.dri_cache import DRIICache
 from repro.dri.mask import SizeMask
 from repro.energy.model import EnergyModel, RunStatistics
-from repro.memory.cache import Cache
+from repro.memory.cache import MIN_WAVEFRONT_SETS, Cache
 from repro.memory.replacement import LRUState
 
 # ----------------------------------------------------------------------
@@ -77,6 +78,67 @@ class TestLRUProperties:
             recency.remove(way)
             recency.insert(0, way)
             assert state.victim_one(0) == recency[-1]
+
+
+# ----------------------------------------------------------------------
+# Batched set-associative classification around the wavefront cutoff
+# ----------------------------------------------------------------------
+WAVEFRONT_TEST_SETS = 4 * MIN_WAVEFRONT_SETS
+
+
+def _policy_state(cache: Cache) -> np.ndarray:
+    policy = cache._policy
+    for name in ("ranks", "next_way", "states"):
+        if hasattr(policy, name):
+            return getattr(policy, name)
+    raise AssertionError(f"unknown replacement state {type(policy).__name__}")
+
+
+class TestSetAssociativeBatchProperties:
+    @given(
+        associativity=st.sampled_from([2, 4, 8]),
+        policy=st.sampled_from(["lru", "fifo", "random"]),
+        hot_sets=st.integers(min_value=1, max_value=2 * MIN_WAVEFRONT_SETS),
+        tag_pool=st.integers(min_value=1, max_value=24),
+        length=st.integers(min_value=1, max_value=1_500),
+        trace_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_matches_per_address_access(
+        self, associativity, policy, hot_sets, tag_pool, length, trace_seed, data
+    ):
+        """Around the wavefront cutoff (a chunk's active sets crossing
+        ``MIN_WAVEFRONT_SETS``, so wavefronts hand over to the tail at
+        varying rounds), ragged chunks with a DRI-downsize-style
+        ``invalidate_range`` between them classify exactly like
+        per-address ``access``: hits, statistics, tag plane and
+        replacement state."""
+        rng = np.random.default_rng(trace_seed)
+        sets = rng.integers(0, hot_sets, size=length)
+        tags = rng.integers(0, tag_pool, size=length)
+        addresses = ((tags * WAVEFRONT_TEST_SETS + sets) * 32).astype(np.uint64)
+        cuts = sorted(
+            data.draw(st.lists(st.integers(min_value=0, max_value=length), max_size=5))
+        )
+        geometry = CacheGeometry(
+            size_bytes=WAVEFRONT_TEST_SETS * associativity * 32,
+            block_size=32,
+            associativity=associativity,
+        )
+        reference = Cache(geometry, replacement=policy)
+        batched = Cache(geometry, replacement=policy)
+        for chunk in np.split(addresses, cuts):
+            expected = [reference.access(address).hit for address in chunk.tolist()]
+            assert batched.access_batch(chunk).tolist() == expected
+            start = data.draw(st.integers(min_value=0, max_value=WAVEFRONT_TEST_SETS))
+            stop = data.draw(st.integers(min_value=start, max_value=WAVEFRONT_TEST_SETS))
+            assert batched.invalidate_range(start, stop) == reference.invalidate_range(
+                start, stop
+            )
+        assert vars(batched.stats) == vars(reference.stats)
+        assert np.array_equal(batched._tag_plane, reference._tag_plane)
+        assert np.array_equal(_policy_state(batched), _policy_state(reference))
 
 
 # ----------------------------------------------------------------------
